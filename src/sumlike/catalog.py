@@ -213,7 +213,12 @@ def log_grid(lo: float, hi: float, count: int):
 
 
 def modulus_scan_grid(f: PiecewiseModulus, count: int = 160):
-    """Scan grid adapted to f: breakpoints, joins, and log-spaced filler."""
+    """Scan grid adapted to f: breakpoints, joins, and log-spaced filler.
+
+    The filler reaches ``max(1, 2 * a_0)``, past the ``(0, 2 * a_0]`` domain
+    of ``verify_example4_inequalities``, so the grid feeds only the
+    Mazur-Orlicz scan (``mazur_orlicz_check``).
+    """
     top = max(1.0, 2.0 * f.breakpoints[0])
     pts = set(f.breakpoints) | set(f.joins)
     pts.update(log_grid(f.breakpoints[-1] * 0.5, top, count))

@@ -16,16 +16,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import catalog, conditions, metrization, reductions
-from .core import (
-    FunctionModulus,
-    PowerModulus,
-    ToleranceConfig,
-    family_from_dict,
-    sample_from_dict,
-)
+from .core import ToleranceConfig, family_from_dict, sample_from_dict
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -53,13 +45,6 @@ def _load_json(path: str):
     return json.loads(data.decode("utf-8")), _digest(data)
 
 
-def _coordinate_sample(spec, grid_points: int):
-    if isinstance(spec, (PowerModulus, FunctionModulus)):
-        lo, hi = spec.domain
-        return spec.as_sample(np.linspace(lo, hi, grid_points))
-    return spec.as_sample()
-
-
 # --- command implementations -----------------------------------------------------
 
 def _cmd_check(args, tol):
@@ -68,7 +53,8 @@ def _cmd_check(args, tol):
     coords = []
     ok = True
     for n, spec in enumerate(fam.coords):
-        qc = conditions.quasi_constants(_coordinate_sample(spec, args.grid_points), tol)
+        sample = spec.as_sample(conditions.coordinate_grid(spec, args.grid_points))
+        qc = conditions.quasi_constants(sample, tol)
         finite = qc.finite and qc.c_diag_violation <= tol.eps_abs
         ok = ok and finite
         coords.append({"coord": n, "kind": spec.kind, "ok": finite, **qc.to_dict()})

@@ -110,7 +110,7 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, tol: ToleranceConfig):
 
 def quasi_constants(s: ModulusSample, tol: ToleranceConfig = DEFAULT_TOL) -> QuasiConstants:
     """Exhaustive scan of all ordered pairs and triples of the sample."""
-    psi = s.matrix()
+    psi = s.psi
     m = s.size
     diag = np.abs(np.diag(psi))
     c_diag = float(diag.max())
@@ -148,9 +148,7 @@ def compare_moduli(
     if set(psi.points) != set(phi.points):
         raise ValueError("samples must share the same point set")
     perm = [phi.index(p) for p in psi.points]
-    p_mat = psi.matrix()
-    q_mat = phi.matrix()[np.ix_(perm, perm)]
-    ratio, _ = _max_ratio(q_mat, p_mat, tol)
+    ratio, _ = _max_ratio(phi.psi[np.ix_(perm, perm)], psi.psi, tol)
     if ratio is None:
         return 1.0
     if ratio == INFINITE:
@@ -210,7 +208,7 @@ def best_admissible(spec: ModulusSpec, c: float, tol: ToleranceConfig = DEFAULT_
     """
     if isinstance(spec, (TableModulus, IndicatorModulus)):
         sample = spec.as_sample()
-        vals = sample.matrix()
+        vals = sample.psi
         mask = vals < c
         if not mask.any():
             return None
@@ -336,6 +334,15 @@ class ThresholdRelation:
 _VIOLATION_CAP = 20
 
 
+def _relation_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a o b)[i, k] iff a[i, j] and b[j, k] for some j, by float32 BLAS matmul.
+
+    Path counts are exact below 2**24, and a rounded sum of 0/1 products is
+    still positive, so the boolean result is exact at any size.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def _partition_from_pairs(points: tuple[str, ...], adj: np.ndarray):
     """Union-find over the adjacency matrix of a valid relation."""
     parent = list(range(len(points)))
@@ -367,8 +374,7 @@ def build_threshold_relation(
 ) -> ThresholdRelation:
     """Pairs below the threshold plus reflexivity/symmetry/transitivity verdicts."""
     sample = spec.as_sample(grid)
-    m = sample.size
-    adj = sample.matrix() < c
+    adj = sample.psi < c
     points = sample.points
 
     violations: list[tuple] = []
@@ -383,8 +389,7 @@ def build_threshold_relation(
         for i, j in np.argwhere(sym_bad)[:_VIOLATION_CAP]:
             violations.append(("symmetric", points[int(i)], points[int(j)]))
 
-    reach2 = (adj.astype(np.int64) @ adj.astype(np.int64)) > 0
-    trans_bad = reach2 & ~adj
+    trans_bad = _relation_product(adj, adj) & ~adj
     trans = not trans_bad.any()
     if not trans:
         for i, k in np.argwhere(trans_bad)[:_VIOLATION_CAP]:
@@ -463,7 +468,8 @@ class TrichotomyReport:
         }
 
 
-def _coordinate_grid(spec: ModulusSpec, grid_points: int):
+def coordinate_grid(spec: ModulusSpec, grid_points: int):
+    """Evenly spaced grid over a continuous coordinate's domain; None for a finite one."""
     if isinstance(spec, (PowerModulus, FunctionModulus)):
         lo, hi = spec.domain
         return np.linspace(lo, hi, grid_points)
@@ -527,7 +533,7 @@ def classify_trichotomy(
     c_star = min(failing)
     narrative.append(f"building threshold relations at smallest failing threshold c={c_star:g}")
     reports = tuple(
-        build_threshold_relation(spec, c_star, tol, _coordinate_grid(spec, th.grid_points), coord=n)
+        build_threshold_relation(spec, c_star, tol, coordinate_grid(spec, th.grid_points), coord=n)
         for n, spec in enumerate(fam.coords)
     )
 
@@ -625,9 +631,8 @@ class ConditionReport:
 class _RatioScan:
     """Tracks the max ratio, its witness, and per-dyadic-band maxima."""
 
-    def __init__(self, name: str, tol: ToleranceConfig):
+    def __init__(self, name: str):
         self.name = name
-        self.tol = tol
         self.best = -math.inf
         self.witness: tuple | None = None
         self.infinite: tuple | None = None
@@ -714,7 +719,7 @@ def mazur_orlicz_check(
 
     vals = {t: fbar(t) for t in ts}
 
-    scan_a = _RatioScan("a", tol)
+    scan_a = _RatioScan("a")
     for s in ts:
         if s >= params.epsilon:
             break
@@ -725,7 +730,7 @@ def mazur_orlicz_check(
 
     cond_b = []
     for rho in params.rho_list:
-        scan = _RatioScan(f"b(rho={rho:g})", tol)
+        scan = _RatioScan(f"b(rho={rho:g})")
         for t in ts:
             if t >= params.delta:
                 break
@@ -735,12 +740,12 @@ def mazur_orlicz_check(
                 scan.add(t, vals[s], vals[t], (s, t))
         cond_b.append((rho, scan.report(params)))
 
-    scan_a2 = _RatioScan("a'", tol)
+    scan_a2 = _RatioScan("a'")
     for s in params.doubling_grid or ts:
         s = float(s)
         scan_a2.add(s, fbar(2.0 * s), fbar(s), (s,))
 
-    scan_b2 = _RatioScan("b'", tol)
+    scan_b2 = _RatioScan("b'")
     for i, s in enumerate(ts):
         for t in ts[i + 1:]:
             scan_b2.add(s, vals[s], vals[t], (s, t))

@@ -32,17 +32,14 @@ class ToleranceConfig:
     eps_rel: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps_abs > 0.0 and self.eps_rel > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.eps_abs < math.inf and 0.0 < self.eps_rel < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def is_zero(self, value: float) -> bool:
         return abs(value) <= self.eps_abs
 
     def close(self, a: float, b: float) -> bool:
         return abs(a - b) <= self.eps_abs + self.eps_rel * max(abs(a), abs(b))
-
-    def leq(self, a: float, b: float) -> bool:
-        return a <= b + self.eps_abs + self.eps_rel * abs(b)
 
     def to_dict(self) -> dict:
         return {"eps_abs": self.eps_abs, "eps_rel": self.eps_rel}
@@ -61,34 +58,49 @@ def as_real(point: Point) -> float:
     return float(point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulusSample:
     """A finite point set with the full table psi[u][v] of modulus values.
 
-    The table is square, indexed like ``points``, with finite non-negative
-    entries.  Immutable after construction.
+    ``psi`` is a read-only square float64 array indexed like ``points``, with
+    finite non-negative entries; it is made once here and read in place by
+    every layer.  Immutable after construction.
     """
 
     points: tuple[str, ...]
-    psi: tuple[tuple[float, ...], ...]
+    psi: np.ndarray
     name: str = ""
 
     def __post_init__(self):
         pts = tuple(str(p) for p in self.points)
-        table = tuple(tuple(float(v) for v in row) for row in self.psi)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "psi", table)
         if not pts:
             raise ValueError("sample needs at least one point")
         if len(set(pts)) != len(pts):
             raise ValueError("point labels must be unique")
-        if len(table) != len(pts) or any(len(row) != len(pts) for row in table):
+        m = len(pts)
+        rows = self.psi
+        # a ragged table cannot become an array, so its row lengths are read first
+        if not isinstance(rows, np.ndarray) and (len(rows) != m or any(len(r) != m for r in rows)):
             raise ValueError("psi table must be square with one row per point")
-        for row in table:
-            for v in row:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError("psi entries must be finite and non-negative")
+        table = np.array(rows, dtype=np.float64)
+        if table.shape != (m, m):
+            raise ValueError("psi table must be square with one row per point")
+        if not (np.isfinite(table).all() and (table >= 0.0).all()):
+            raise ValueError("psi entries must be finite and non-negative")
+        table.flags.writeable = False
+        object.__setattr__(self, "psi", table)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
+
+    def __eq__(self, other):
+        if not isinstance(other, ModulusSample):
+            return NotImplemented
+        return (self.points, self.name) == (other.points, other.name) and np.array_equal(
+            self.psi, other.psi
+        )
+
+    def __hash__(self):
+        return hash((self.points, self.name, self.psi.tobytes()))
 
     @property
     def size(self) -> int:
@@ -101,13 +113,14 @@ class ModulusSample:
             raise KeyError(f"unknown point label {label!r}") from None
 
     def value(self, u: str, v: str) -> float:
-        return self.psi[self.index(u)][self.index(v)]
+        return float(self.psi[self.index(u), self.index(v)])
 
     def matrix(self) -> np.ndarray:
-        return np.array(self.psi, dtype=float)
+        """A writable copy of the table."""
+        return self.psi.copy()
 
     def to_dict(self) -> dict:
-        out = {"points": list(self.points), "psi": [list(row) for row in self.psi]}
+        out = {"points": list(self.points), "psi": self.psi.tolist()}
         if self.name:
             out["name"] = self.name
         return out
@@ -280,7 +293,7 @@ class PowerModulus:
     def as_sample(self, grid=None) -> ModulusSample:
         if grid is None:
             raise ValueError("a grid of real points is required to sample a power modulus")
-        return _sample_from_reals(self, grid)
+        return _sample_from_reals(self, grid, lambda t: t ** self.p, self.contains)
 
     def to_dict(self) -> dict:
         return {"kind": "power", "p": self.p, "domain": [self.domain[0], self.domain[1]]}
@@ -322,9 +335,9 @@ class IndicatorModulus:
         return str(u) == str(v)
 
     def as_sample(self, grid=None) -> ModulusSample:
-        labels = self.labels()
-        table = [[self.psi(u, v) for v in labels] for u in labels]
-        return ModulusSample(labels, table, name="indicator")
+        block = np.repeat(np.arange(len(self.blocks)), [len(blk) for blk in self.blocks])
+        table = (block[:, None] != block[None, :]).astype(np.float64)
+        return ModulusSample(self.labels(), table, name="indicator")
 
     def to_dict(self) -> dict:
         return {"kind": "indicator", "blocks": [list(blk) for blk in self.blocks]}
@@ -357,7 +370,7 @@ class FunctionModulus:
     def as_sample(self, grid=None) -> ModulusSample:
         if grid is None:
             raise ValueError("a grid of real points is required to sample a function modulus")
-        return _sample_from_reals(self, grid)
+        return _sample_from_reals(self, grid, self.f.value, None)
 
     def to_dict(self) -> dict:
         return {
@@ -370,13 +383,23 @@ class FunctionModulus:
 ModulusSpec = Union[TableModulus, PowerModulus, IndicatorModulus, FunctionModulus]
 
 
-def _sample_from_reals(spec, grid) -> ModulusSample:
+def _sample_from_reals(spec, grid, g, inside) -> ModulusSample:
+    """Table of g(|u - v|) over distinct grid points, each tested by ``inside`` if given.
+
+    ``g`` takes one Python float at a time: NumPy's power can differ from
+    Python's ``**`` in the last bit and so move a first-maximum witness.
+    """
     values = [float(t) for t in grid]
     if len(set(values)) != len(values):
         raise ValueError("grid points must be distinct")
-    labels = [repr(v) for v in values]
-    table = [[spec.psi(u, v) for v in values] for u in values]
-    return ModulusSample(labels, table, name=f"{spec.kind} grid")
+    if inside is not None:
+        for t in values:
+            if not inside(t):
+                raise ValueError(f"point {t} outside domain {spec.domain}")
+    x = np.array(values)
+    dist = np.abs(x[:, None] - x[None, :]).tolist()
+    table = [[g(t) for t in row] for row in dist]
+    return ModulusSample([repr(v) for v in values], table, name=f"{spec.kind} grid")
 
 
 @dataclass(frozen=True)

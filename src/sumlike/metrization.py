@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ModulusSample, ToleranceConfig
-from .conditions import quasi_constants
+from .conditions import _relation_product, quasi_constants
 
 
 class NotEquivalenceInducingError(ValueError):
@@ -31,8 +31,7 @@ class NotEquivalenceInducingError(ValueError):
 
 def truncate_modulus(s: ModulusSample) -> ModulusSample:
     """Cap every entry at 1; idempotent."""
-    table = [[min(v, 1.0) for v in row] for row in s.psi]
-    return ModulusSample(s.points, table, s.name)
+    return ModulusSample(s.points, np.minimum(s.psi, 1.0), s.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,17 +55,9 @@ class LevelSets:
     def size(self) -> int:
         return len(self.points)
 
-    def level_pairs(self, n: int) -> frozenset[tuple[str, str]]:
-        rows, cols = np.nonzero(self.masks[n])
-        return frozenset(
-            (self.points[i], self.points[j]) for i, j in zip(rows.tolist(), cols.tolist())
-        )
-
 
 def _compose3_inside(inner: np.ndarray, outer: np.ndarray) -> bool:
-    a = inner.astype(np.int64)
-    reach2 = (a @ a) > 0
-    reach3 = (reach2.astype(np.int64) @ a) > 0
+    reach3 = _relation_product(_relation_product(inner, inner), inner)
     return not bool((reach3 & ~outer).any())
 
 
@@ -76,7 +67,7 @@ def build_level_sets(
     """Level sets for B = 2*C**2 + C, deep enough to separate every positive entry."""
     if C < 1.0:
         raise ValueError("quasi-metric constant C must be >= 1")
-    psi = s.matrix()
+    psi = s.psi
     diag = np.abs(np.diag(psi))
     if diag.max() > tol.eps_abs:
         i = int(diag.argmax())
@@ -223,31 +214,21 @@ class MetrizationCertificate:
         }
 
 
-def _c_from_b(B: float) -> float:
-    # inverse of B = 2*C**2 + C on C >= 1
-    return (-1.0 + math.sqrt(1.0 + 8.0 * B)) / 4.0
-
-
 def certify_sandwich(
     s: ModulusSample,
     d: np.ndarray,
-    B: float,
+    levels: LevelSets,
+    C: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    levels: LevelSets | None = None,
-    C: float | None = None,
 ) -> MetrizationCertificate:
     """Check containments, zero equivalence, the sandwich, and the distance floor.
 
     Failures are recorded in the certificate, never raised.  ``s`` must be the
-    capped sample the level sets were built from.
+    capped sample ``levels`` was built from with the constant ``C``.
     """
-    if C is None:
-        C = _c_from_b(B)
-    if levels is None:
-        levels = build_level_sets(s, C, tol)
-    psi = s.matrix()
+    psi = s.psi
     m = s.size
+    B = levels.B
     p = math.log2(B)
 
     containment = []
@@ -329,7 +310,7 @@ def metrize(s: ModulusSample, tol: ToleranceConfig = DEFAULT_TOL) -> Metrization
     C = max(qc.c_sym, qc.c_tri)
     levels = build_level_sets(capped, C, tol)
     d = frink_pseudometric(levels)
-    return certify_sandwich(capped, d, levels.B, tol, levels=levels, C=C)
+    return certify_sandwich(capped, d, levels, C, tol)
 
 
 def matrix_to_csv(points: tuple[str, ...], d: np.ndarray) -> str:

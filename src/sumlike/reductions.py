@@ -376,14 +376,8 @@ def normalize_metric(d_values: ModulusSample, n: int) -> ModulusSample:
     original distance otherwise.
     """
     floor = 2.0 ** (-n)
-    size = d_values.size
-    table = [
-        [
-            0.0 if i == j else (floor if d_values.psi[i][j] <= floor else d_values.psi[i][j])
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    table = np.where(d_values.psi <= floor, floor, d_values.psi)
+    np.fill_diagonal(table, 0.0)
     return ModulusSample(d_values.points, table, d_values.name)
 
 
@@ -525,6 +519,12 @@ def estimate_holder(
         raise ValueError("need at least one sample pair")
     if q <= 0.0:
         raise ValueError("q must be positive")
+    try:
+        lift = 2.0 ** (1.0 / q)
+    except OverflowError:
+        lift = math.inf
+    if not math.isfinite(lift):
+        raise ValueError(f"2**(1/q) is not a finite float for q = {q!r}")
     resolution = 4.0 ** (-params.depth)
     ratios = []
     worst_violation = 0.0
@@ -544,7 +544,6 @@ def estimate_holder(
         ratios.append(n2 / abs(s - t) ** params.rho)
         n_inf = max(abs(dx), abs(dy))
         n_q = (abs(dx) ** q + abs(dy) ** q) ** (1.0 / q)
-        lift = 2.0 ** (1.0 / q)
         chain = (
             n2 / math.sqrt(2.0) - n_inf,
             n_inf - n_q,

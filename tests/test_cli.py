@@ -232,6 +232,19 @@ class TestExample4:
         assert code == 2
 
 
+class TestInputErrors:
+    def test_infinite_tolerance_rejected(self, grid_sample, capsys):
+        code = main(["metrize", grid_sample, "--tol-abs", "inf"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    def test_koch_tiny_q_is_an_input_error(self, tmp_path):
+        spec = write(tmp_path, "koch.json", {"rho": 0.75, "pairs": [[0.1, 0.2]], "q": 1e-4})
+        code, report = run_cli(["reduce", "koch", spec], tmp_path)
+        assert code == 2 and report is None
+
+
 class TestEnvironment:
     def test_bad_threads_value(self, tmp_path, grid_sample, monkeypatch):
         monkeypatch.setenv("SUMLIKE_THREADS", "many")

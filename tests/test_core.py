@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumlike.catalog import EXAMPLE4_PRESETS, build_example4
 from sumlike.core import (
     FamilyDescription,
     FunctionModulus,
@@ -29,6 +33,8 @@ class TestModulusSample:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             ModulusSample(["a", "b"], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="square"):
+            ModulusSample(["a", "b"], [[0.0, 1.0], [1.0]])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
@@ -45,6 +51,98 @@ class TestModulusSample:
         with pytest.raises(KeyError):
             s.value("a", "z")
 
+    def test_table_is_read_only_and_matrix_a_copy(self):
+        source = np.array([[0.0, 1.0], [2.0, 0.0]])
+        s = ModulusSample(["a", "b"], source)
+        source[0, 1] = 5.0
+        assert s.value("a", "b") == 1.0 and type(s.value("a", "b")) is float
+        assert s.psi.dtype == np.float64
+        with pytest.raises(ValueError):
+            s.psi[0, 1] = 3.0
+        copy = s.matrix()
+        copy[0, 1] = 3.0
+        assert copy.flags.writeable
+        assert s.value("a", "b") == 1.0
+
+    def test_equality_and_round_trip(self):
+        s = ModulusSample(["a", "b"], [[0.0, 1.0], [2.0, 0.0]], "t")
+        assert s == ModulusSample(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]), "t")
+        assert s != ModulusSample(["a", "b"], [[0.0, 1.0], [2.5, 0.0]], "t")
+        assert hash(s) == hash(sample_from_dict(s.to_dict()))
+        assert s.to_dict()["psi"] == [[0.0, 1.0], [2.0, 0.0]]
+
+
+def _bits(table) -> np.ndarray:
+    return np.asarray(table, dtype=np.float64).view(np.uint64)
+
+
+def _assert_table_matches_psi(spec, sample):
+    expected = [[spec.psi(u, v) for v in sample.points] for u in sample.points]
+    assert np.array_equal(_bits(sample.psi), _bits(expected))
+
+
+@st.composite
+def power_grids(draw):
+    p = draw(st.floats(0.05, 8.0))
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(1e-3, 20.0))
+    grid = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12, unique=True))
+    return PowerModulus(p, (lo, hi)), grid
+
+
+@st.composite
+def example4_grids(draw):
+    f = build_example4(EXAMPLE4_PRESETS[draw(st.sampled_from(sorted(EXAMPLE4_PRESETS)))]())
+    point = st.one_of(
+        st.sampled_from((0.0, 1.0, *f.breakpoints, *f.joins)),
+        st.floats(0.0, 1.0),
+        st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e),
+    )
+    grid = draw(st.lists(point, min_size=1, max_size=12, unique=True))
+    return FunctionModulus(f), grid
+
+
+@st.composite
+def partitions(draw):
+    assignment = draw(st.lists(st.integers(0, 4), min_size=1, max_size=15))
+    blocks = {}
+    for i, b in enumerate(assignment):
+        blocks.setdefault(b, []).append(f"p{i}")
+    return IndicatorModulus(tuple(tuple(blk) for blk in blocks.values()))
+
+
+class TestSampledTables:
+    """``as_sample`` tables equal the pointwise ``psi`` bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(power_grids())
+    def test_power(self, case):
+        spec, grid = case
+        sample = spec.as_sample(grid)
+        assert sample.points == tuple(repr(float(t)) for t in grid)
+        _assert_table_matches_psi(spec, sample)
+
+    @settings(max_examples=150, deadline=None)
+    @given(example4_grids())
+    def test_example4_function(self, case):
+        spec, grid = case
+        sample = spec.as_sample(grid)
+        assert sample.points == tuple(repr(float(t)) for t in grid)
+        _assert_table_matches_psi(spec, sample)
+
+    @settings(max_examples=150, deadline=None)
+    @given(partitions())
+    def test_indicator(self, spec):
+        sample = spec.as_sample()
+        assert sample.points == spec.labels()
+        _assert_table_matches_psi(spec, sample)
+
+    def test_grid_checks(self):
+        with pytest.raises(ValueError, match="distinct"):
+            PowerModulus(1.0).as_sample([0.5, 0.5, 2.0])
+        with pytest.raises(ValueError, match=r"point 2\.0 outside domain"):
+            PowerModulus(1.0).as_sample([0.5, 2.0, 3.0])
+
 
 class TestToleranceConfig:
     def test_defaults(self):
@@ -54,6 +152,13 @@ class TestToleranceConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ToleranceConfig(eps_abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(eps_abs=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(eps_rel=bad)
 
     def test_comparisons(self):
         tol = ToleranceConfig()

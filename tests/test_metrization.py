@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import euclidean_sample, indicator_sample, quasi_sample, snowflake_sample
+from sumlike.conditions import _relation_product
 from sumlike.core import IndicatorModulus, ModulusSample
 from sumlike.metrization import (
     LevelSets,
     NotEquivalenceInducingError,
+    _compose3_inside,
     build_level_sets,
     certify_sandwich,
     frink_pseudometric,
@@ -170,11 +174,11 @@ class TestCertifyAndMetrize:
         assert all(2.0 ** (-3) <= v <= 1.0 for v in values[1:])
         assert cert.all_ok
 
-    def test_certify_rebuilds_levels_from_b(self):
+    def test_certify_on_prebuilt_levels(self):
         sample = truncate_modulus(grid_metric_sample())
         levels = build_level_sets(sample, C=1.0)
         d = frink_pseudometric(levels)
-        cert = certify_sandwich(sample, d, levels.B)
+        cert = certify_sandwich(sample, d, levels, 1.0)
         assert cert.C == pytest.approx(1.0, rel=1e-12)
         assert cert.all_ok
 
@@ -216,6 +220,53 @@ class TestCertifyAndMetrize:
         for i in range(sample.size):
             for j in range(sample.size):
                 assert (psi[i, j] == 0.0 and psi[j, i] == 0.0) == (d[i, j] == 0.0)
+
+
+def reference_compose3_inside(inner, outer):
+    """The int64-matmul composition check the float32 kernel replaced."""
+    a = inner.astype(np.int64)
+    reach2 = (a @ a) > 0
+    reach3 = (reach2.astype(np.int64) @ a) > 0
+    return not bool((reach3 & ~outer).any())
+
+
+@st.composite
+def relations(draw):
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = rng.random((m, m)) < draw(st.floats(0.0, 0.5))
+    outer = rng.random((m, m)) < draw(st.floats(0.0, 1.0))
+    return inner, outer
+
+
+class TestCompositionKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(relations())
+    def test_matches_int64_reference(self, case):
+        inner, outer = case
+        a = inner.astype(np.int64)
+        assert np.array_equal(_relation_product(inner, outer), (a @ outer.astype(np.int64)) > 0)
+        assert _compose3_inside(inner, outer) == reference_compose3_inside(inner, outer)
+        reach3 = ((((a @ a) > 0).astype(np.int64) @ a) > 0)
+        assert _compose3_inside(inner, reach3) and reference_compose3_inside(inner, reach3)
+        if reach3.any():
+            i, k = np.argwhere(reach3)[0]
+            holed = reach3.copy()
+            holed[i, k] = False
+            assert not _compose3_inside(inner, holed)
+
+    def test_level_sets_agree_with_reference(self):
+        # with C = 1 the quasi sample fails composition at level 1, the metric one nowhere
+        rng = np.random.default_rng(31)
+        cases = ((quasi_sample(rng, 30, spread=0.9), False), (euclidean_sample(rng, 30), True))
+        for sample, passes in cases:
+            levels = build_level_sets(truncate_modulus(sample), 1.0)
+            want = tuple(
+                reference_compose3_inside(levels.masks[n + 1], levels.masks[n])
+                for n in range(levels.L)
+            )
+            assert levels.composition_ok == want
+            assert all(want) == passes
 
 
 class TestCsvExport:

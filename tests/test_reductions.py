@@ -385,6 +385,11 @@ class TestEstimateHolder:
         with pytest.raises(ValueError, match="resolution"):
             estimate_holder(params, [(0.0, 4.0 ** (-6))])
 
+    def test_tiny_q_rejected(self):
+        params = KochParams.from_rho(0.75)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_holder(params, [(0.1, 0.2)], q=1e-4)
+
     def test_distinct_pairs_required(self):
         params = KochParams.from_rho(0.75, depth=5)
         with pytest.raises(ValueError, match="distinct"):
