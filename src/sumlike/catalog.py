@@ -11,7 +11,7 @@ domination condition for linearity of the summability class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,23 +108,15 @@ def build_example4(spec: Example4Spec) -> PiecewiseModulus:
 
 @dataclass(frozen=True)
 class RatioCheck:
-    """Tooth ratio computed two ways: directly and in closed form."""
+    """Tooth ratio computed two ways, and whether they agree under the caller's tolerance."""
 
     index: int
     direct: float
     closed_form: float
-
-    @property
-    def agree(self) -> bool:
-        return DEFAULT_TOL.close(self.direct, self.closed_form)
+    agree: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "direct": self.direct,
-            "closed_form": self.closed_form,
-            "agree": self.agree,
-        }
+        return asdict(self)
 
 
 def example4_ratio(f: PiecewiseModulus, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> RatioCheck:
@@ -138,10 +130,10 @@ def example4_ratio(f: PiecewiseModulus, n: int, tol: ToleranceConfig = DEFAULT_T
         raise ValueError(f"f vanishes at join {n}; ratio undefined")
     direct = f.value(f.breakpoints[n + 1]) / denom
     closed = 0.5 * (1.0 + f.slopes[n + 1] / f.slopes[n])
-    check = RatioCheck(n, direct, closed)
-    if not tol.close(direct, closed):
+    agree = tol.close(direct, closed)
+    if not agree:
         raise ValueError(f"ratio identity violated at tooth {n}: {direct} vs {closed}")
-    return check
+    return RatioCheck(n, direct, closed, agree)
 
 
 @dataclass(frozen=True)

@@ -594,7 +594,6 @@ class MazurOrliczParams:
     epsilon: float = 1.0
     delta: float = 1.0
     rho_list: tuple[float, ...] = (0.5, 1.0, 2.0)
-    doubling_grid: tuple[float, ...] | None = None
     growth_min_records: int = 3
     growth_factor: float = 8.0
     recency_fraction: float = 0.25
@@ -741,8 +740,7 @@ def mazur_orlicz_check(
         cond_b.append((rho, scan.report(params)))
 
     scan_a2 = _RatioScan("a'")
-    for s in params.doubling_grid or ts:
-        s = float(s)
+    for s in ts:
         scan_a2.add(s, fbar(2.0 * s), fbar(s), (s,))
 
     scan_b2 = _RatioScan("b'")

@@ -4,7 +4,8 @@ Pipeline: cap the modulus at 1, compute its quasi-metric constant C, build
 nested symmetric level sets U_n = {both directed values < B**-n} with
 B = 2*C**2 + C, turn them into a pseudo-metric by the chain (shortest-path)
 construction, and certify the two-sided sandwich B**-2 * d**p <= psi <=
-B**2 * d**p with p = log2(B) pair by pair.
+B**2 * d**p with p = log2(B) on array masks over every pair.  The certificate
+keeps d and a bounded summary per check, so its flags are recomputable.
 
 The one-step gauge assigns a pair at deepest level n the weight 2**-(n+1);
 this is the classical metrization-lemma gauge and is what makes the strict
@@ -17,12 +18,12 @@ samples violating it are marked advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, ModulusSample, ToleranceConfig
-from .conditions import _relation_product, quasi_constants
+from .conditions import _VIOLATION_CAP, _relation_product, quasi_constants
 
 
 class NotEquivalenceInducingError(ValueError):
@@ -111,25 +112,6 @@ def frink_pseudometric(levels: LevelSets) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SandwichRecord:
-    """One ordered pair's two-sided bound B**-2*d**p <= psi <= B**2*d**p."""
-
-    u: str
-    v: str
-    psi: float
-    d: float
-    lower: float
-    upper: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u, "v": self.v, "psi": self.psi, "d": self.d,
-            "lower": self.lower, "upper": self.upper, "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
 class LevelContainment:
     level: int
     inner_ok: bool   # U_n subset {d < 2**-n}
@@ -144,17 +126,37 @@ class LevelContainment:
 
 
 @dataclass(frozen=True)
-class ThresholdRecord:
-    """Pairs with psi >= B**-2 must sit at distance >= 2**-3."""
+class PairCheck:
+    """One per-pair inequality: a pair passes iff its slack is >= 0.
 
-    u: str
-    v: str
-    psi: float
-    d: float
-    ok: bool
+    ``worst`` is the least-slack pair, first in (i, j) order on ties (None if
+    nothing was checked); ``violations`` are the first failing pairs, capped.
+    """
+
+    checked: int
+    failed: int
+    worst: dict | None
+    violations: tuple[tuple[str, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "psi": self.psi, "d": self.d, "ok": self.ok}
+        return asdict(self)
+
+
+def _pair_check(points, pairs, slack: np.ndarray, **values) -> PairCheck:
+    """PairCheck of ``pairs = (rows, cols)``, given in (i, j) order."""
+    rows, cols = pairs
+    failing = np.flatnonzero(slack < 0.0)
+    worst = None
+    if slack.size:
+        k = int(slack.argmin())
+        numbers = {name: float(col[k]) for name, col in values.items()}
+        worst = {"u": points[rows[k]], "v": points[cols[k]], **numbers, "slack": float(slack[k])}
+    violations = tuple((points[rows[k]], points[cols[k]]) for k in failing[:_VIOLATION_CAP])
+    return PairCheck(int(slack.size), int(failing.size), worst, violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +170,10 @@ class MetrizationCertificate:
     d: np.ndarray
     composition_ok: tuple[bool, ...]
     containment: tuple[LevelContainment, ...]
-    zero_ok: bool
-    zero_violations: tuple[tuple[str, str], ...]
-    sandwich: tuple[SandwichRecord, ...]
-    threshold: tuple[ThresholdRecord, ...]
+    zero_violation_count: int
+    zero_violations: tuple[tuple[str, str], ...]   # the first _VIOLATION_CAP
+    sandwich_check: PairCheck
+    threshold_check: PairCheck
 
     @property
     def advisory(self) -> bool:
@@ -183,12 +185,16 @@ class MetrizationCertificate:
         return all(c.ok for c in self.containment)
 
     @property
+    def zero_ok(self) -> bool:
+        return self.zero_violation_count == 0
+
+    @property
     def sandwich_ok(self) -> bool:
-        return all(r.ok for r in self.sandwich)
+        return self.sandwich_check.ok
 
     @property
     def threshold_ok(self) -> bool:
-        return all(r.ok for r in self.threshold)
+        return self.threshold_check.ok
 
     @property
     def all_ok(self) -> bool:
@@ -206,9 +212,10 @@ class MetrizationCertificate:
             "composition_ok": list(self.composition_ok),
             "containment": [c.to_dict() for c in self.containment],
             "zero_ok": self.zero_ok,
+            "zero_violation_count": self.zero_violation_count,
             "zero_violations": [list(v) for v in self.zero_violations],
-            "sandwich": [r.to_dict() for r in self.sandwich],
-            "threshold": [r.to_dict() for r in self.threshold],
+            "sandwich": self.sandwich_check.to_dict(),
+            "threshold": self.threshold_check.to_dict(),
             "advisory": self.advisory,
             "all_ok": self.all_ok,
         }
@@ -223,11 +230,11 @@ def certify_sandwich(
 ) -> MetrizationCertificate:
     """Check containments, zero equivalence, the sandwich, and the distance floor.
 
-    Failures are recorded in the certificate, never raised.  ``s`` must be the
-    capped sample ``levels`` was built from with the constant ``C``.
+    The sandwich covers off-diagonal pairs with eps_abs < psi < B**-2, the
+    floor d >= 2**-3 those with psi >= B**-2.  Failures are recorded, never
+    raised.  ``s`` must be the capped sample ``levels`` was built from with C.
     """
     psi = s.psi
-    m = s.size
     B = levels.B
     p = math.log2(B)
 
@@ -238,30 +245,27 @@ def certify_sandwich(
         outer_ok = not bool((ball & ~levels.masks[n - 1]).any())
         containment.append(LevelContainment(n, inner_ok, outer_ok))
 
-    zero_violations = []
-    d_zero = d <= tol.eps_abs
-    mismatch = levels.zero_mask ^ d_zero
-    for i, j in np.argwhere(mismatch):
-        zero_violations.append((s.points[int(i)], s.points[int(j)]))
-    zero_ok = not zero_violations
+    mismatch = levels.zero_mask ^ (d <= tol.eps_abs)
+    zero_violations = tuple(
+        (s.points[int(i)], s.points[int(j)]) for i, j in np.argwhere(mismatch)[:_VIOLATION_CAP]
+    )
 
     b2 = B ** (-2.0)
-    sandwich = []
-    threshold = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            value = float(psi[i, j])
-            dij = float(d[i, j])
-            if value > tol.eps_abs and value < b2:
-                lower = B ** (-2.0) * dij ** p
-                upper = B ** 2.0 * dij ** p
-                ok = lower <= value * (1.0 + tol.eps_rel) and value <= upper * (1.0 + tol.eps_rel)
-                sandwich.append(SandwichRecord(s.points[i], s.points[j], value, dij, lower, upper, ok))
-            elif value >= b2:
-                ok = dij >= 2.0 ** (-3.0) - tol.eps_abs
-                threshold.append(ThresholdRecord(s.points[i], s.points[j], value, dij, ok))
+    off = ~np.eye(s.size, dtype=bool)
+    band = np.nonzero(off & (psi > tol.eps_abs) & (psi < b2))
+    value, dist = psi[band], d[band]
+    # Python's ** rather than np.power: NumPy's vectorised pow can differ in
+    # the last bit, which could move a bound across its comparison
+    dp = np.array([x ** p for x in dist.tolist()], dtype=float)
+    lower = b2 * dp
+    # B ** 2.0 raises OverflowError once C passes ~1e77, where the band is empty
+    upper = B ** 2.0 * dp if dp.size else dp
+    slack = np.minimum(value * (1.0 + tol.eps_rel) - lower, upper * (1.0 + tol.eps_rel) - value)
+    sandwich = _pair_check(s.points, band, slack, psi=value, d=dist, lower=lower, upper=upper)
+
+    top = np.nonzero(off & (psi >= b2))
+    floor_slack = d[top] - (2.0 ** (-3.0) - tol.eps_abs)
+    threshold = _pair_check(s.points, top, floor_slack, psi=psi[top], d=d[top])
 
     return MetrizationCertificate(
         name=s.name,
@@ -273,10 +277,10 @@ def certify_sandwich(
         d=d,
         composition_ok=levels.composition_ok,
         containment=tuple(containment),
-        zero_ok=zero_ok,
-        zero_violations=tuple(zero_violations),
-        sandwich=tuple(sandwich),
-        threshold=tuple(threshold),
+        zero_violation_count=int(mismatch.sum()),
+        zero_violations=zero_violations,
+        sandwich_check=sandwich,
+        threshold_check=threshold,
     )
 
 

@@ -543,7 +543,12 @@ def estimate_holder(
         n2 = math.hypot(dx, dy)
         ratios.append(n2 / abs(s - t) ** params.rho)
         n_inf = max(abs(dx), abs(dy))
-        n_q = (abs(dx) ** q + abs(dy) ** q) ** (1.0 / q)
+        try:
+            n_q = (abs(dx) ** q + abs(dy) ** q) ** (1.0 / q)
+        except OverflowError:
+            n_q = math.inf
+        if not math.isfinite(n_q):
+            raise ValueError(f"the q-norm of K(s) - K(t) overflows a float for q = {q!r}")
         chain = (
             n2 / math.sqrt(2.0) - n_inf,
             n_inf - n_q,

@@ -304,6 +304,10 @@ def test_criterion_8_classifier_smoke():
     )
 
 
+def reject_non_finite(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
 def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
     values = [i / 10 for i in range(6)]
     sample = tmp_path / "sample.json"
@@ -346,7 +350,7 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
             out = tmp_path / f"{name}-{run}.json"
             code = cli.main([*argv, "--out", str(out)])
             assert code in (0, 1), f"{name} returned input error"
-            result = json.loads(out.read_text())["result"]
+            result = json.loads(out.read_text(), parse_constant=reject_non_finite)["result"]
             payloads.append(json.dumps(result, sort_keys=True).encode("utf-8"))
         if payloads[0] != payloads[1]:
             mismatches.append(name)

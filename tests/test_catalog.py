@@ -17,6 +17,7 @@ from sumlike.catalog import (
     verify_example4_inequalities,
 )
 from sumlike.conditions import mazur_orlicz_check
+from sumlike.core import DEFAULT_TOL, PiecewiseModulus, ToleranceConfig
 
 
 def two_term():
@@ -99,6 +100,17 @@ class TestRatioIdentity:
             check = example4_ratio(f, n)
             assert check.closed_form == 0.5 * (1.0 + 2.0 ** (2 * n + 3))
             assert check.direct == pytest.approx(check.closed_form, rel=1e-9)
+
+    def test_agree_uses_the_given_tolerance(self):
+        # a join 1e-8 (relative) off the exact intersection stays within the
+        # modulus's absolute continuity slack, but moves the ratio by 1e-8
+        f = PiecewiseModulus((1e-3, 1e-5), (1.0, 4.0), (1.6e-5 * (1.0 + 1e-8),), 1e-3)
+        with pytest.raises(ValueError, match="ratio identity"):
+            example4_ratio(f, 0)
+        check = example4_ratio(f, 0, ToleranceConfig(1e-12, 1e-6))
+        assert check.direct != check.closed_form
+        assert not DEFAULT_TOL.close(check.direct, check.closed_form)
+        assert check.agree is True and check.to_dict()["agree"] is True
 
     def test_index_out_of_range(self):
         f = build_example4(two_term())

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sumlike.cli import main
+from sumlike.cli import _emit, main
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -108,7 +108,9 @@ class TestMetrize:
         sample = write(tmp_path, "one.json", {"points": ["a"], "psi": [[0.0]]})
         code, report = run_cli(["metrize", sample], tmp_path)
         assert code == 0
-        assert report["result"]["sandwich"] == []
+        empty = {"checked": 0, "failed": 0, "worst": None, "violations": []}
+        assert report["result"]["sandwich"] == empty
+        assert report["result"]["threshold"] == empty
 
     def test_invalid_sample_exit_one(self, tmp_path):
         sample = write(tmp_path, "asym.json", {"points": ["a", "b"], "psi": [[0, 0], [0.5, 0]]})
@@ -243,6 +245,20 @@ class TestInputErrors:
         spec = write(tmp_path, "koch.json", {"rho": 0.75, "pairs": [[0.1, 0.2]], "q": 1e-4})
         code, report = run_cli(["reduce", "koch", spec], tmp_path)
         assert code == 2 and report is None
+
+    def test_koch_huge_q_is_an_input_error(self, tmp_path, capsys):
+        # |K(0.1) - K(1.9)|**1000 overflows a float
+        spec = write(tmp_path, "koch.json", {"rho": 0.75, "pairs": [[0.1, 1.9]], "q": 1000})
+        code, report = run_cli(["reduce", "koch", spec], tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "q = 1000" in err
+
+    def test_non_finite_report_value_fails_loudly(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _emit({"result": {"x": math.inf}}, str(out))
+        assert not out.exists()
 
 
 class TestEnvironment:

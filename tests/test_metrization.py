@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import euclidean_sample, indicator_sample, quasi_sample, snowflake_sample
-from sumlike.conditions import _relation_product
-from sumlike.core import IndicatorModulus, ModulusSample
+from sumlike.conditions import _VIOLATION_CAP, _relation_product, quasi_constants
+from sumlike.core import DEFAULT_TOL, IndicatorModulus, ModulusSample, ToleranceConfig
 from sumlike.metrization import (
     LevelSets,
     NotEquivalenceInducingError,
@@ -143,7 +144,9 @@ class TestCertifyAndMetrize:
     def test_single_point_vacuous(self):
         cert = metrize(ModulusSample(["a"], [[0.0]]))
         assert cert.all_ok
-        assert cert.sandwich == () and cert.threshold == ()
+        for check in (cert.sandwich_check, cert.threshold_check):
+            assert check.checked == 0 and check.failed == 0
+            assert check.worst is None and check.violations == ()
 
     def test_zero_pair_equivalence(self):
         s = ModulusSample(["u", "v", "w"], [[0, 0, 0.5], [0, 0, 0.5], [0.5, 0.5, 0]])
@@ -183,12 +186,47 @@ class TestCertifyAndMetrize:
         assert cert.all_ok
 
     def test_sandwich_records_recomputable(self):
-        cert = metrize(grid_metric_sample())
-        for rec in cert.sandwich:
-            assert rec.lower == pytest.approx(cert.B ** -2 * rec.d ** cert.p, rel=1e-12)
-            assert rec.upper == pytest.approx(cert.B ** 2 * rec.d ** cert.p, rel=1e-12)
-            assert rec.lower <= rec.psi * (1.0 + 1e-9)
-            assert rec.psi <= rec.upper * (1.0 + 1e-9)
+        # the certificate keeps no per-pair records: recompute every band
+        # pair's bounds from the input, d and B, and match its summary
+        sample = truncate_modulus(grid_metric_sample())
+        cert = metrize(sample)
+        psi, d, m = sample.psi, cert.d, sample.size
+        band = [
+            (i, j) for i in range(m) for j in range(m)
+            if i != j and 1e-12 < psi[i, j] < cert.B ** -2
+        ]
+        check = cert.sandwich_check
+        assert band and check.checked == len(band) and check.failed == 0
+        for i, j in band:
+            lower = cert.B ** -2 * d[i, j] ** cert.p
+            upper = cert.B ** 2 * d[i, j] ** cert.p
+            assert lower <= psi[i, j] * (1.0 + 1e-9)
+            assert psi[i, j] <= upper * (1.0 + 1e-9)
+        w = check.worst
+        assert w["psi"] == sample.value(w["u"], w["v"])
+        assert w["d"] == d[sample.index(w["u"]), sample.index(w["v"])]
+        assert w["lower"] == pytest.approx(cert.B ** -2 * w["d"] ** cert.p, rel=1e-12)
+        assert w["upper"] == pytest.approx(cert.B ** 2 * w["d"] ** cert.p, rel=1e-12)
+        assert w["lower"] <= w["psi"] * (1.0 + 1e-9)
+        assert w["psi"] <= w["upper"] * (1.0 + 1e-9)
+
+    def test_huge_constant_leaves_the_band_empty(self):
+        # C = 5e99 under a tiny eps_abs: B**2 overflows a float, but no pair
+        # has psi < B**-2 = 0: the sandwich is vacuous, every pair gets the floor
+        s = ModulusSample(["u", "v", "r"], [[0, 1e-100, 1], [1e-100, 0, 1e-100], [1, 1e-100, 0]])
+        cert = metrize(s, ToleranceConfig(1e-300, 1e-9))
+        assert cert.C == 5e99 and cert.sandwich_check.checked == 0
+        assert cert.threshold_check.checked == 6 and cert.all_ok
+
+    def test_flags_recomputed_from_report(self):
+        # the README's recipe: the input, the reported d and C give every flag
+        rng = np.random.default_rng(41)
+        sample = quasi_sample(rng, 20)
+        report = metrize(sample).to_dict()
+        capped = truncate_modulus(sample)
+        d, C = np.array(report["d"]), report["C"]
+        again = certify_sandwich(capped, d, build_level_sets(capped, C), C).to_dict()
+        assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
 
     def test_scale_coherence(self):
         sample = truncate_modulus(grid_metric_sample())
@@ -267,6 +305,122 @@ class TestCompositionKernel:
             )
             assert levels.composition_ok == want
             assert all(want) == passes
+
+
+def reference_pair_checks(s, d, B, tol=DEFAULT_TOL):
+    """The per-pair loop that certify_sandwich replaced, one record per pair.
+
+    Sandwich records carry psi, d, lower, upper and slack, threshold records
+    psi, d and slack; ``ok`` is the loop's own predicate, kept apart from the
+    slack so the test can check that slack >= 0 is the same predicate.
+    """
+    psi = s.psi
+    p = math.log2(B)
+    b2 = B ** (-2.0)
+    sandwich, threshold = [], []
+    for i in range(s.size):
+        for j in range(s.size):
+            if i == j:
+                continue
+            value = float(psi[i, j])
+            dij = float(d[i, j])
+            pair = (s.points[i], s.points[j])
+            if value > tol.eps_abs and value < b2:
+                lower = B ** (-2.0) * dij ** p
+                upper = B ** 2.0 * dij ** p
+                ok = lower <= value * (1.0 + tol.eps_rel) and value <= upper * (1.0 + tol.eps_rel)
+                slack = min(value * (1.0 + tol.eps_rel) - lower, upper * (1.0 + tol.eps_rel) - value)
+                numbers = {"psi": value, "d": dij, "lower": lower, "upper": upper, "slack": slack}
+                sandwich.append((pair, numbers, ok))
+            elif value >= b2:
+                ok = dij >= 2.0 ** (-3.0) - tol.eps_abs
+                numbers = {"psi": value, "d": dij, "slack": dij - (2.0 ** (-3.0) - tol.eps_abs)}
+                threshold.append((pair, numbers, ok))
+    return sandwich, threshold
+
+
+def assert_matches_reference(check, records):
+    for _, numbers, ok in records:
+        assert ok == (numbers["slack"] >= 0.0)
+    failing = [pair for pair, _, ok in records if not ok]
+    assert check.checked == len(records)
+    assert check.failed == len(failing)
+    assert check.violations == tuple(failing[:_VIOLATION_CAP])
+    if not records:
+        assert check.worst is None
+        return
+    (u, v), numbers, _ = min(records, key=lambda r: r[1]["slack"])  # first minimum
+    assert check.worst == {"u": u, "v": v, **numbers}
+    for key, value in check.worst.items():
+        if key not in ("u", "v"):
+            assert value.hex() == numbers[key].hex()  # bit for bit
+
+
+def certify_against_reference(sample, scale=1.0, zero_index=None):
+    """Certify ``sample`` on a chain d optionally scaled down and with one
+    off-diagonal entry zeroed; compare with the per-pair loop.
+
+    Returns the certificate and the reference records, so callers can assert
+    on the failure counts.
+    """
+    capped = truncate_modulus(sample)
+    qc = quasi_constants(capped)
+    C = max(qc.c_sym, qc.c_tri)
+    levels = build_level_sets(capped, C)
+    d = frink_pseudometric(levels) * scale
+    if zero_index is not None and capped.size > 1:
+        off = np.argwhere(~np.eye(capped.size, dtype=bool))
+        i, j = off[zero_index % len(off)]
+        d[i, j] = 0.0
+    cert = certify_sandwich(capped, d, levels, C)
+    sandwich, threshold = reference_pair_checks(capped, d, levels.B)
+    assert_matches_reference(cert.sandwich_check, sandwich)
+    assert_matches_reference(cert.threshold_check, threshold)
+    points = capped.points
+    mismatch = [(points[i], points[j]) for i, j in np.argwhere(levels.zero_mask ^ (d <= 1e-12))]
+    assert cert.zero_violation_count == len(mismatch)
+    assert cert.zero_violations == tuple(mismatch[:_VIOLATION_CAP])
+    assert cert.sandwich_ok == all(ok for _, _, ok in sandwich)
+    assert cert.threshold_ok == all(ok for _, _, ok in threshold)
+    return cert, sandwich + threshold
+
+
+SAMPLE_MAKERS = {
+    "euclidean": lambda rng, m: euclidean_sample(rng, m),
+    "snowflake": lambda rng, m: snowflake_sample(rng, m, 0.6),
+    "quasi": lambda rng, m: quasi_sample(rng, m),
+    "indicator": lambda rng, m: indicator_sample(rng, m, 3),
+}
+
+
+class TestPairChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(SAMPLE_MAKERS)),
+        st.integers(1, 24),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.just(1.0), st.just(0.0), st.floats(2.0 ** -10, 0.5)),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_matches_per_pair_loop(self, kind, m, seed, scale, zero_index):
+        sample = SAMPLE_MAKERS[kind](np.random.default_rng(seed), m)
+        certify_against_reference(sample, scale, zero_index)
+
+    def test_worst_bounds_on_scaled_distances(self):
+        # scaled chain distances leave the dyadic values, where NumPy's
+        # vectorised pow and Python's ** can round apart in the last bit
+        rng = np.random.default_rng(43)
+        sample = euclidean_sample(rng, 12)
+        for scale in rng.uniform(0.5, 1.0, 100):
+            certify_against_reference(sample, scale)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLE_MAKERS))
+    def test_more_failures_than_the_cap(self, kind):
+        sample = SAMPLE_MAKERS[kind](np.random.default_rng(37), 24)
+        _, records = certify_against_reference(sample, 2.0 ** -8, zero_index=5)
+        assert sum(not ok for _, _, ok in records) > _VIOLATION_CAP
+        cert, _ = certify_against_reference(sample, 0.0)
+        assert cert.zero_violation_count > _VIOLATION_CAP
 
 
 class TestCsvExport:
