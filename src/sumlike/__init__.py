@@ -19,7 +19,6 @@ from .core import (
 from .conditions import (
     ClassifierThresholds,
     L1Witness,
-    MazurOrliczParams,
     QuasiConstants,
     ThresholdRelation,
     TrichotomyReport,

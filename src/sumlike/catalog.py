@@ -173,20 +173,21 @@ def verify_example4_inequalities(
     hi = 2.0 * f.breakpoints[0]
     if not points or points[0] <= 0.0 or points[-1] > hi * (1.0 + tol.eps_rel):
         raise ValueError(f"grid must lie in (0, {hi}]")
-    values = {t: f.value(t) for t in points}
+    x = np.array(points)
+    fx = f.values(x)
     worst_sub = (-math.inf, (points[0], points[0]))
     worst_rev = (-math.inf, (points[0], points[0]))
-    for s in points:
-        fs = values[s]
-        for t in points:
-            ft = values[t]
-            fst = f.value(s + t)
-            sub = fst - (fs + ft)
-            rev = fs - (fst + ft)
-            if sub > worst_sub[0]:
-                worst_sub = (sub, (s, t))
-            if rev > worst_rev[0]:
-                worst_rev = (rev, (s, t))
+    # one row s at a time; np.argmax takes the first maximum within a row and
+    # rows are compared with a strict >, so ties go to the first (s, t)
+    for i, s in enumerate(points):
+        fst = f.values(s + x)
+        sub = fst - (fx[i] + fx)
+        rev = fx[i] - (fst + fx)
+        j, k = int(np.argmax(sub)), int(np.argmax(rev))
+        if sub[j] > worst_sub[0]:
+            worst_sub = (float(sub[j]), (s, points[j]))
+        if rev[k] > worst_rev[0]:
+            worst_rev = (float(rev[k]), (s, points[k]))
     return InequalityReport(
         max_subadd_violation=worst_sub[0],
         max_reverse_violation=worst_rev[0],

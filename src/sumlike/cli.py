@@ -262,6 +262,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, verdict, digest, code = _DISPATCH[args.command](args, tol)
+        report = {
+            "command": args.command,
+            "input_digest": digest,
+            "tolerance": tol.to_dict(),
+            "result": payload,
+            "verdict": verdict,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        # a non-finite value or unwritable --out fails before any byte is written
+        _emit(report, args.out)
     except metrization.NotEquivalenceInducingError as exc:
         print(f"not equivalence-inducing: {exc}", file=sys.stderr)
         return EXIT_VERDICT
@@ -271,17 +281,6 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    elapsed = time.perf_counter() - started
-
-    report = {
-        "command": args.command,
-        "input_digest": digest,
-        "tolerance": tol.to_dict(),
-        "result": payload,
-        "verdict": verdict,
-        "wall_time_s": elapsed,
-    }
-    _emit(report, args.out)
     if code != EXIT_OK:
         print(f"verdict failure: {verdict}", file=sys.stderr)
     return code

@@ -6,11 +6,15 @@ witnesses for divergence-with-small-terms, threshold relations F = {psi < c}
 with validity analysis, the trichotomy classifier built on top of them, and
 the Mazur-Orlicz doubling/domination conditions for linearity of the
 summability class N_f.
+
+The Mazur-Orlicz scans have fixed windows and fold one grid row at a time
+through ``_max_ratio``, the kernel of the quasi-metric constants.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +93,18 @@ class QuasiConstants:
         }
 
 
-def _max_ratio(num: np.ndarray, den: np.ndarray, tol: ToleranceConfig):
+def _max_ratio(num: np.ndarray, den: np.ndarray, zero: float):
     """Max of num/den with zero-denominator semantics.
 
-    A denominator <= eps_abs makes the constraint vacuous when the numerator
-    is also <= eps_abs and INFINITE otherwise.  Returns (ratio, flat_index)
-    with ratio possibly inf and flat_index None when every entry is vacuous.
+    A denominator <= zero makes the constraint vacuous when the numerator is
+    also <= zero and INFINITE otherwise.  Returns (ratio, flat_index) for the
+    first maximum (or the first INFINITE entry) in flat order, and
+    (None, None) when every entry is vacuous.
     """
-    bad = (den <= tol.eps_abs) & (num > tol.eps_abs)
+    bad = (den <= zero) & (num > zero)
     if bad.any():
         return INFINITE, int(np.flatnonzero(bad.ravel())[0])
-    live = den > tol.eps_abs
+    live = den > zero
     if not live.any():
         return None, None
     safe_den = np.where(live, den, 1.0)
@@ -119,7 +124,7 @@ def quasi_constants(s: ModulusSample, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
     if m == 1:
         return QuasiConstants(c_diag, 1.0, 1.0, diag_witness)
 
-    sym_ratio, idx = _max_ratio(psi.T, psi, tol)
+    sym_ratio, idx = _max_ratio(psi.T, psi, tol.eps_abs)
     if sym_ratio is None:
         c_sym, sym_witness = 1.0, None
     else:
@@ -129,7 +134,7 @@ def quasi_constants(s: ModulusSample, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
 
     num3 = np.broadcast_to(psi[:, None, :], (m, m, m))
     den3 = psi[:, :, None] + psi[None, :, :]
-    tri_ratio, idx = _max_ratio(num3, den3, tol)
+    tri_ratio, idx = _max_ratio(num3, den3, tol.eps_abs)
     if tri_ratio is None:
         c_tri, tri_witness = 1.0, None
     else:
@@ -148,7 +153,7 @@ def compare_moduli(
     if set(psi.points) != set(phi.points):
         raise ValueError("samples must share the same point set")
     perm = [phi.index(p) for p in psi.points]
-    ratio, _ = _max_ratio(phi.psi[np.ix_(perm, perm)], psi.psi, tol)
+    ratio, _ = _max_ratio(phi.psi[np.ix_(perm, perm)], psi.psi, tol.eps_abs)
     if ratio is None:
         return 1.0
     if ratio == INFINITE:
@@ -249,15 +254,13 @@ def best_admissible(spec: ModulusSpec, c: float, tol: ToleranceConfig = DEFAULT_
         t_lin = v0 / f.slopes[-1]
         if 0.0 < t_lin <= diam:
             candidates.append(t_lin)
-        best = None
-        for t in candidates:
-            value = f.value(t)
-            if value < c and (best is None or value > best[1]):
-                best = (t, value)
-        if best is None:
+        values = f.values(candidates)
+        below = values < c
+        if not below.any():
             return None
+        best = int(np.argmax(np.where(below, values, -np.inf)))
         lo = spec.domain[0]
-        return lo, min(lo + best[0], spec.domain[1]), best[1]
+        return lo, min(lo + candidates[best], spec.domain[1]), float(values[best])
 
     raise TypeError(f"unsupported coordinate spec {type(spec).__name__}")
 
@@ -581,22 +584,19 @@ def classify_trichotomy(
 
 # --- Mazur-Orlicz linearity conditions ----------------------------------------
 
-@dataclass(frozen=True)
-class MazurOrliczParams:
-    """Windows for the unreduced conditions plus the growth detector knobs.
+# Windows of the unreduced conditions: (a) scans s, t < MO_EPSILON and
+# (b, rho) scans s < rho * t < rho * MO_DELTA for each rho in MO_RHOS.
+MO_EPSILON = 1.0
+MO_DELTA = 1.0
+MO_RHOS = (0.5, 1.0, 2.0)
 
-    A finite grid always yields a finite max ratio, so UNBOUNDED is detected
-    by scale growth: at least ``growth_min_records`` running-max records over
-    the per-dyadic-band maxima, overall growth ``growth_factor``, with the
-    last record falling in the final ``recency_fraction`` of the band range.
-    """
-
-    epsilon: float = 1.0
-    delta: float = 1.0
-    rho_list: tuple[float, ...] = (0.5, 1.0, 2.0)
-    growth_min_records: int = 3
-    growth_factor: float = 8.0
-    recency_fraction: float = 0.25
+# A finite grid always yields a finite max ratio, so UNBOUNDED is detected by
+# scale growth: at least GROWTH_MIN_RECORDS running-max records over the
+# per-dyadic-band maxima, overall growth GROWTH_FACTOR, with the last record
+# falling in the final GROWTH_RECENCY of the band range.
+GROWTH_MIN_RECORDS = 3
+GROWTH_FACTOR = 8.0
+GROWTH_RECENCY = 0.25
 
 
 @dataclass(frozen=True)
@@ -627,132 +627,122 @@ class ConditionReport:
         }
 
 
-class _RatioScan:
-    """Tracks the max ratio, its witness, and per-dyadic-band maxima."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.best = -math.inf
-        self.witness: tuple | None = None
-        self.infinite: tuple | None = None
-        self.bands: dict[int, float] = {}
-        self.seen = False
-
-    def add(self, scale: float, num: float, den: float, witness: tuple) -> None:
-        if self.infinite is not None:
-            return
-        # the values are function evaluations, not stored data, so only an
-        # exact zero denominator counts as zero (genuine values can sit far
-        # below any absolute tolerance at deep scales)
-        if den <= 0.0:
-            if num > 0.0:
-                self.infinite = witness
-            return
-        self.seen = True
-        ratio = num / den
-        band = math.floor(-math.log2(scale)) if scale > 0.0 else 0
-        if ratio > self.bands.get(band, -math.inf):
-            self.bands[band] = ratio
-        if ratio > self.best:
-            self.best = ratio
-            self.witness = witness
-
-    def report(self, params: MazurOrliczParams) -> ConditionReport:
-        if self.infinite is not None:
-            return ConditionReport(self.name, "INFINITE", INFINITE, self.infinite)
-        if not self.seen:
-            return ConditionReport(self.name, "VACUOUS", 0.0, None)
-        status = "UNBOUNDED" if self._growing(params) else "BOUNDED"
-        return ConditionReport(self.name, status, self.best, self.witness)
-
-    def _growing(self, params: MazurOrliczParams) -> bool:
-        # coarse-to-fine per-band maxima; the constant is out of sight when
-        # running-max records keep appearing toward the finest scales
-        ordered = [self.bands[b] for b in sorted(self.bands)]
-        records = []
-        running = -math.inf
-        for pos, value in enumerate(ordered):
-            if value > running:
-                running = value
-                records.append(pos)
-        if len(records) < params.growth_min_records:
-            return False
-        first, last = records[0], records[-1]
-        if not ordered[last] >= params.growth_factor * max(ordered[first], 1e-300):
-            return False
-        return last >= (len(ordered) - 1) * (1.0 - params.recency_fraction)
+def _growing(ordered: list[float]) -> bool:
+    """Whether the coarse-to-fine per-band maxima keep setting records toward fine scales."""
+    records = []
+    running = -math.inf
+    for pos, value in enumerate(ordered):
+        if value > running:
+            running = value
+            records.append(pos)
+    if len(records) < GROWTH_MIN_RECORDS:
+        return False
+    first, last = records[0], records[-1]
+    if not ordered[last] >= GROWTH_FACTOR * max(ordered[first], 1e-300):
+        return False
+    return last >= (len(ordered) - 1) * (1.0 - GROWTH_RECENCY)
 
 
-def _as_callable(f):
-    if isinstance(f, PiecewiseModulus):
-        return f.value
-    if callable(f):
-        return f
-    raise TypeError("f must be a PiecewiseModulus or a callable on the non-negative reals")
+def _fold_rows(name: str, rows) -> ConditionReport:
+    """One condition report from non-empty (scale, num, den array, pair) rows in scan order.
+
+    A row lies in the dyadic band of its scale and ``pair(j)`` names entry j.
+    Only an exact zero denominator counts as zero: genuine function values can
+    sit far below any absolute tolerance at deep scales.  Rows compare with a
+    strict >, so the witness is the first maximum (or INFINITE pair) in order.
+    """
+    best, witness, infinite = -math.inf, None, None
+    bands: dict[int, float] = {}
+    for scale, num, den, pair in rows:
+        # dividing by a tiny value may overflow to inf, quietly as in Python;
+        # only a zero denominator makes the pair INFINITE
+        with np.errstate(over="ignore"):
+            ratio, j = _max_ratio(num, den, 0.0)
+        if ratio is None:
+            continue
+        if ratio == INFINITE and den[j] <= 0.0:
+            if infinite is None:
+                infinite = pair(j)
+            continue
+        band = math.floor(-math.log2(scale))
+        bands[band] = max(bands.get(band, -math.inf), ratio)
+        if ratio > best:
+            best, witness = ratio, pair(j)
+    if infinite is not None:
+        return ConditionReport(name, "INFINITE", INFINITE, infinite)
+    if not bands:
+        return ConditionReport(name, "VACUOUS", 0.0, None)
+    status = "UNBOUNDED" if _growing([bands[b] for b in sorted(bands)]) else "BOUNDED"
+    return ConditionReport(name, status, best, witness)
 
 
-def mazur_orlicz_check(
-    f,
-    grid,
-    params: MazurOrliczParams | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
+def mazur_orlicz_check(f, grid, tol: ToleranceConfig = DEFAULT_TOL):
     """Scan the doubling and domination conditions for linearity of N_f.
 
     Works on fbar = min(f, 1).  The reduced conditions decide the verdict:
     LINEAR_LIKELY iff fbar(2s) <= C'*fbar(s) and fbar(s) <= D'*fbar(t) for
     s < t both stay bounded over the grid.  The unreduced conditions (with
-    their epsilon/delta/rho windows) are reported alongside.
+    their MO_EPSILON/MO_DELTA/MO_RHOS windows) are reported alongside.  A
+    PiecewiseModulus is evaluated a row at a time with ``values``; a plain
+    callable is called on one Python float at a time.
     """
-    params = params or MazurOrliczParams()
-    fn = _as_callable(f)
+    if isinstance(f, PiecewiseModulus):
+        evaluate = f.values
+    elif callable(f):
+        def evaluate(t: np.ndarray) -> np.ndarray:
+            return np.array([f(x) for x in t.tolist()], dtype=np.float64)
+    else:
+        raise TypeError("f must be a PiecewiseModulus or a callable on the non-negative reals")
     ts = sorted(set(float(t) for t in grid))
     if not ts or ts[0] <= 0.0:
         raise ValueError("grid must be non-empty and strictly positive")
+    x = np.array(ts)
 
-    def fbar(t: float) -> float:
-        v = fn(t)
-        if v < -tol.eps_abs:
-            raise ValueError(f"modulus is negative at {t}: {v}")
-        return min(max(v, 0.0), 1.0)
+    def fbar(t: np.ndarray) -> np.ndarray:
+        v = evaluate(t)
+        bad = ~(v >= -tol.eps_abs)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "NaN" if np.isnan(v[i]) else "negative"
+            raise ValueError(f"modulus is {what} at {float(t[i])}: {float(v[i])}")
+        # keeps a -0.0 as Python's max(v, 0.0) does; np.maximum need not
+        return np.minimum(np.where(v < 0.0, 0.0, v), 1.0)
 
-    vals = {t: fbar(t) for t in ts}
+    # every argument is checked by fbar, in order: the grid, then the (a)
+    # sums row by row, then the doubled grid
+    vals = fbar(x)
 
-    scan_a = _RatioScan("a")
-    for s in ts:
-        if s >= params.epsilon:
-            break
-        for t in ts:
-            if t >= params.epsilon:
-                break
-            scan_a.add(min(s, t), fbar(s + t), vals[s] + vals[t], (s, t))
+    # (a) is symmetric: float + commutes, so fbar(s + t) and fbar(s) + fbar(t)
+    # are the same bits either way round.  Scanning t >= s (band of s) finds the
+    # whole square's maximum, band maxima, first witness and first INFINITE
+    # pair at half the evaluations.
+    e = bisect_left(ts, MO_EPSILON)
+    cond_a = _fold_rows("a", (
+        (ts[i], fbar(x[i] + x[i:e]), vals[i] + vals[i:e], lambda j, i=i: (ts[i], ts[i + j]))
+        for i in range(e)
+    ))
 
     cond_b = []
-    for rho in params.rho_list:
-        scan = _RatioScan(f"b(rho={rho:g})")
-        for t in ts:
-            if t >= params.delta:
-                break
-            for s in ts:
-                if s >= rho * t:
-                    break
-                scan.add(t, vals[s], vals[t], (s, t))
-        cond_b.append((rho, scan.report(params)))
+    for rho in MO_RHOS:
+        below = np.searchsorted(x, rho * x)  # the s < rho * t form a prefix of the grid
+        rows = (
+            (ts[i], vals[:below[i]], np.full(below[i], vals[i]), lambda j, i=i: (ts[j], ts[i]))
+            for i in range(bisect_left(ts, MO_DELTA))
+            if below[i]
+        )
+        cond_b.append((rho, _fold_rows(f"b(rho={rho:g})", rows)))
 
-    scan_a2 = _RatioScan("a'")
-    for s in ts:
-        scan_a2.add(s, fbar(2.0 * s), fbar(s), (s,))
-
-    scan_b2 = _RatioScan("b'")
-    for i, s in enumerate(ts):
-        for t in ts[i + 1:]:
-            scan_b2.add(s, vals[s], vals[t], (s, t))
-
-    a_prime = scan_a2.report(params)
-    b_prime = scan_b2.report(params)
+    doubled = fbar(2.0 * x)
+    a_prime = _fold_rows("a'", (
+        (ts[i], doubled[i:i + 1], vals[i:i + 1], lambda j, i=i: (ts[i],)) for i in range(len(ts))
+    ))
+    b_prime = _fold_rows("b'", (
+        (ts[i], vals[i], vals[i + 1:], lambda j, i=i: (ts[i], ts[i + 1 + j]))
+        for i in range(len(ts) - 1)
+    ))
     verdict = "LINEAR_LIKELY" if (a_prime.bounded and b_prime.bounded) else "NOT_LINEAR"
     return MazurOrliczVerdict(
-        cond_a=scan_a.report(params),
+        cond_a=cond_a,
         cond_b=tuple(cond_b),
         cond_a_prime=a_prime,
         cond_b_prime=b_prime,

@@ -181,23 +181,31 @@ class PiecewiseModulus:
         """Value attained at breakpoint n (top of the n-th tooth)."""
         return self.slopes[n] * self.breakpoints[n]
 
-    def value(self, t: float) -> float:
-        if t < 0.0:
+    def values(self, t) -> np.ndarray:
+        """Elementwise value on an array of non-negative arguments.
+
+        Each branch is one ``+ - *`` expression on the stored floats, so an
+        entry is the same bits as a scalar evaluation of that branch.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if (t < 0.0).any():
             raise ValueError("modulus argument must be non-negative")
-        if t == 0.0:
-            return 0.0
-        a, k = self.breakpoints, self.slopes
-        if t >= a[0]:
-            return self.cap
-        if t < a[-1]:
-            return k[-1] * t
-        # locate n with a[n+1] <= t < a[n]
-        n = 0
-        while t < a[n + 1]:
-            n += 1
-        if t < self.joins[n]:
-            return self.peak(n + 1) - k[n + 1] * (t - a[n + 1])
-        return k[n] * t
+        a, k = np.array(self.breakpoints), np.array(self.slopes)
+        # every branch is evaluated everywhere; np.where discards the
+        # products that overflow on arguments outside their branch
+        with np.errstate(over="ignore"):
+            out = k[-1] * t
+            if self.joins:
+                b = np.array(self.joins)
+                # n with a[n+1] <= t < a[n], clipped where t lies outside [a[-1], a[0])
+                n = np.clip(np.searchsorted(-a, -t) - 1, 0, len(b) - 1)
+                descending = k[n + 1] * a[n + 1] - k[n + 1] * (t - a[n + 1])
+                out = np.where(t < a[-1], out, np.where(t < b[n], descending, k[n] * t))
+        out = np.where(t >= a[0], self.cap, out)
+        return np.where(t == 0.0, 0.0, out)
+
+    def value(self, t: float) -> float:
+        return float(self.values(t))
 
     __call__ = value
 
@@ -293,7 +301,9 @@ class PowerModulus:
     def as_sample(self, grid=None) -> ModulusSample:
         if grid is None:
             raise ValueError("a grid of real points is required to sample a power modulus")
-        return _sample_from_reals(self, grid, lambda t: t ** self.p, self.contains)
+        return _sample_from_reals(
+            self, grid, lambda dist: [[t ** self.p for t in row] for row in dist.tolist()], self.contains
+        )
 
     def to_dict(self) -> dict:
         return {"kind": "power", "p": self.p, "domain": [self.domain[0], self.domain[1]]}
@@ -370,7 +380,7 @@ class FunctionModulus:
     def as_sample(self, grid=None) -> ModulusSample:
         if grid is None:
             raise ValueError("a grid of real points is required to sample a function modulus")
-        return _sample_from_reals(self, grid, self.f.value, None)
+        return _sample_from_reals(self, grid, self.f.values, None)
 
     def to_dict(self) -> dict:
         return {
@@ -383,11 +393,12 @@ class FunctionModulus:
 ModulusSpec = Union[TableModulus, PowerModulus, IndicatorModulus, FunctionModulus]
 
 
-def _sample_from_reals(spec, grid, g, inside) -> ModulusSample:
-    """Table of g(|u - v|) over distinct grid points, each tested by ``inside`` if given.
+def _sample_from_reals(spec, grid, table, inside) -> ModulusSample:
+    """Table ``table(|u - v|)`` over distinct grid points, each tested by ``inside`` if given.
 
-    ``g`` takes one Python float at a time: NumPy's power can differ from
-    Python's ``**`` in the last bit and so move a first-maximum witness.
+    ``table`` maps the distance array to the modulus table.  A power table
+    applies Python's ``**`` one float at a time: NumPy's power can differ in
+    the last bit and so move a first-maximum witness.
     """
     values = [float(t) for t in grid]
     if len(set(values)) != len(values):
@@ -397,9 +408,8 @@ def _sample_from_reals(spec, grid, g, inside) -> ModulusSample:
             if not inside(t):
                 raise ValueError(f"point {t} outside domain {spec.domain}")
     x = np.array(values)
-    dist = np.abs(x[:, None] - x[None, :]).tolist()
-    table = [[g(t) for t in row] for row in dist]
-    return ModulusSample([repr(v) for v in values], table, name=f"{spec.kind} grid")
+    dist = np.abs(x[:, None] - x[None, :])
+    return ModulusSample([repr(v) for v in values], table(dist), name=f"{spec.kind} grid")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sumlike import cli
 from sumlike.cli import _emit, main
 
 
@@ -259,6 +260,24 @@ class TestInputErrors:
         with pytest.raises(ValueError):
             _emit({"result": {"x": math.inf}}, str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_report_is_an_input_error(self, tmp_path, power_fam, monkeypatch, capsys, to_file):
+        monkeypatch.setitem(
+            cli._DISPATCH, "check", lambda args, tol: ({"x": math.inf}, "v", "sha256:0", 0)
+        )
+        out = tmp_path / "report.json"
+        code = main(["check", power_fam, *(["--out", str(out)] if to_file else [])])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("input error") and "JSON" in err
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, grid_sample, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        code = main(["metrize", grid_sample, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("input error") and "nodir" in err
 
 
 class TestEnvironment:
