@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import sys
 import time
 
@@ -39,10 +41,28 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _finite(text: str, parse=float):
+    """json.loads number hook: the literal must be finite as a float."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number {text[:40]} is not a finite float")
+    return parse(text)
+
+
+# digits read "0", exponent marks "e" and all else " ", with "+" dropped: a number
+# literal can overflow a float only with a 3-digit exponent or 210 digits in a row
+_SHAPE = bytes(48 if 48 <= b <= 57 else 101 if b in b"eE" else 32 for b in range(256))
+_LONG_EXPONENT = re.compile(b"e000")  # re finds it faster than bytes.find on this text
+
+
 def _load_json(path: str):
+    """Parse an input file; a NaN or Infinity token, or a number overflowing a float, is rejected."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data.decode("utf-8")), _digest(data)
+    shape = data.translate(_SHAPE, b"+")
+    hooks = {}  # the C parser reads the numbers unless one might overflow
+    if _LONG_EXPONENT.search(shape) or b"0" * 210 in shape:
+        hooks = {"parse_float": _finite, "parse_int": lambda text: _finite(text, int)}
+    return json.loads(data.decode("utf-8"), parse_constant=_finite, **hooks), _digest(data)
 
 
 # --- command implementations -----------------------------------------------------
@@ -86,12 +106,7 @@ def _cmd_classify(args, tol):
     c_grid = None
     if args.c_grid:
         c_grid = [float(c) for c in args.c_grid.split(",") if c.strip()]
-    th = conditions.ClassifierThresholds(
-        target=args.target,
-        budget=args.budget,
-        class_growth_bound=args.class_bound,
-        grid_points=args.grid_points,
-    )
+    th = conditions.ClassifierThresholds(args.target, args.class_bound, args.grid_points)
     report = conditions.classify_trichotomy(fam, c_grid, th, tol)
     return report.to_dict(), f"branch={report.branch}", digest, EXIT_OK
 
@@ -216,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family JSON file")
     p.add_argument("--c-grid", help="comma-separated thresholds (default dyadic 1..2^-10)")
     p.add_argument("--target", type=float, default=1.0, help="witness accumulation target")
-    p.add_argument("--budget", type=int, default=None, help="max coordinates to consume")
     p.add_argument("--class-bound", type=int, default=16, help="finite stand-in for 'perfectly many'")
     p.add_argument("--grid-points", type=int, default=33, help="sample size for continuous coordinates")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -181,9 +181,6 @@ class WitnessTerm:
     v: Point
     value: float
 
-    def to_dict(self) -> dict:
-        return {"coord": self.coord, "u": self.u, "v": self.v, "value": self.value}
-
 
 @dataclass(frozen=True)
 class L1Witness:
@@ -195,12 +192,7 @@ class L1Witness:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "target": self.target,
-            "total": self.total,
-            "terms": [t.to_dict() for t in self.terms],
-        }
+        return asdict(self)
 
 
 def best_admissible(spec: ModulusSpec, c: float, tol: ToleranceConfig = DEFAULT_TOL):
@@ -265,29 +257,37 @@ def best_admissible(spec: ModulusSpec, c: float, tol: ToleranceConfig = DEFAULT_
     raise TypeError(f"unsupported coordinate spec {type(spec).__name__}")
 
 
+def _spec_key(spec: ModulusSpec):
+    """Dict key of coordinate specs that give bit-identical answers."""
+    # tables compare bitwise and partitions hold no floats; a repr shows every
+    # float exactly, where -0.0 == 0.0 would let a witness change sign
+    return spec if isinstance(spec, (TableModulus, IndicatorModulus)) else repr(spec)
+
+
 def search_l1_witness(
     fam: FamilyDescription,
     c: float,
     target: float,
-    budget: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> L1Witness | None:
     """Greedy accumulation of per-coordinate maxima below c until >= target.
 
     Returns None when the truncation cannot accumulate the target; because the
     per-coordinate choice is maximal, absence is conclusive for this family.
+    ``best_admissible`` runs once per distinct coordinate spec in this call.
     """
     if not c > 0.0:
         raise ValueError("threshold c must be positive")
     if not target > 0.0:
         raise ValueError("target must be positive")
-    budget = fam.size if budget is None else budget
-    if budget < fam.size:
-        raise ValueError("budget must cover every coordinate of the family")
+    best: dict = {}
     terms: list[WitnessTerm] = []
     total = 0.0
     for n, spec in enumerate(fam.coords):
-        found = best_admissible(spec, c, tol)
+        key = _spec_key(spec)
+        if key not in best:
+            best[key] = best_admissible(spec, c, tol)
+        found = best[key]
         if found is None:
             continue
         u, v, value = found
@@ -300,14 +300,13 @@ def search_l1_witness(
 
 # --- threshold relations ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdRelation:
-    """The pairs {psi < c} of one coordinate with equivalence-validity analysis."""
+    """The relation {psi < c} on one coordinate with equivalence-validity analysis."""
 
-    coord: int
     threshold: float
     points: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
+    adjacency: np.ndarray  # read-only boolean matrix, indexed like points
     reflexive: bool
     symmetric: bool
     transitive: bool
@@ -321,10 +320,9 @@ class ThresholdRelation:
 
     def to_dict(self) -> dict:
         return {
-            "coord": self.coord,
             "threshold": self.threshold,
             "points": list(self.points),
-            "pair_count": len(self.pairs),
+            "pair_count": int(self.adjacency.sum()),
             "reflexive": self.reflexive,
             "symmetric": self.symmetric,
             "transitive": self.transitive,
@@ -346,73 +344,49 @@ def _relation_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def _partition_from_pairs(points: tuple[str, ...], adj: np.ndarray):
-    """Union-find over the adjacency matrix of a valid relation."""
-    parent = list(range(len(points)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(adj)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[str]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault(find(i), []).append(p)
-    classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    return classes
-
-
 def build_threshold_relation(
     spec: ModulusSpec,
     c: float,
     tol: ToleranceConfig = DEFAULT_TOL,
     grid=None,
-    coord: int = 0,
 ) -> ThresholdRelation:
     """Pairs below the threshold plus reflexivity/symmetry/transitivity verdicts."""
     sample = spec.as_sample(grid)
     adj = sample.psi < c
+    adj.flags.writeable = False
     points = sample.points
 
     violations: list[tuple] = []
     refl = bool(adj.diagonal().all())
-    if not refl:
-        for i in np.flatnonzero(~adj.diagonal())[:_VIOLATION_CAP]:
-            violations.append(("reflexive", points[int(i)]))
+    for i in np.flatnonzero(~adj.diagonal())[:_VIOLATION_CAP]:
+        violations.append(("reflexive", points[int(i)]))
 
     sym_bad = adj & ~adj.T
     sym = not sym_bad.any()
-    if not sym:
-        for i, j in np.argwhere(sym_bad)[:_VIOLATION_CAP]:
-            violations.append(("symmetric", points[int(i)], points[int(j)]))
+    for i, j in np.argwhere(sym_bad)[:_VIOLATION_CAP]:
+        violations.append(("symmetric", points[int(i)], points[int(j)]))
 
     trans_bad = _relation_product(adj, adj) & ~adj
     trans = not trans_bad.any()
-    if not trans:
-        for i, k in np.argwhere(trans_bad)[:_VIOLATION_CAP]:
-            j = int(np.flatnonzero(adj[int(i)] & adj[:, int(k)])[0])
-            violations.append(("transitive", points[int(i)], points[j], points[int(k)]))
+    for i, k in np.argwhere(trans_bad)[:_VIOLATION_CAP]:
+        j = int(np.flatnonzero(adj[int(i)] & adj[:, int(k)])[0])
+        violations.append(("transitive", points[int(i)], points[j], points[int(k)]))
 
     classes = None
     count = None
     if refl and sym and trans:
-        classes = _partition_from_pairs(points, adj)
+        # a class's first member is the first True of each of its rows, so
+        # grouping by it in point order lists the classes by first member
+        groups: dict[int, list[str]] = {}
+        for i, root in enumerate(adj.argmax(axis=1).tolist()):
+            groups.setdefault(root, []).append(points[i])
+        classes = tuple(tuple(g) for g in groups.values())
         count = len(classes)
 
-    pairs = frozenset(
-        (points[int(i)], points[int(j)]) for i, j in np.argwhere(adj)
-    )
     return ThresholdRelation(
-        coord=coord,
         threshold=c,
         points=points,
-        pairs=pairs,
+        adjacency=adj,
         reflexive=refl,
         symmetric=sym,
         transitive=trans,
@@ -434,17 +408,11 @@ class ClassifierThresholds:
     """
 
     target: float = 1.0
-    budget: int | None = None
     class_growth_bound: int = 16
     grid_points: int = 33
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "budget": self.budget,
-            "class_growth_bound": self.class_growth_bound,
-            "grid_points": self.grid_points,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -452,6 +420,7 @@ class TrichotomyReport:
     branch: str
     l1_witness: L1Witness | None
     fn_reports: tuple[ThresholdRelation, ...]
+    fn_runs: tuple[tuple[int, int], ...]
     c_grid: tuple[float, ...]
     c_star: float | None
     thresholds: ClassifierThresholds
@@ -463,6 +432,7 @@ class TrichotomyReport:
             "branch": self.branch,
             "l1_witness": self.l1_witness.to_dict() if self.l1_witness else None,
             "fn_reports": [r.to_dict() for r in self.fn_reports],
+            "fn_runs": [list(run) for run in self.fn_runs],
             "c_grid": list(self.c_grid),
             "c_star": self.c_star,
             "thresholds": self.thresholds.to_dict(),
@@ -494,6 +464,14 @@ def classify_trichotomy(
     all counts above the growth bound mean E1_LIKE, all equal to one mean
     TRIVIAL, counts confined to [2, bound] (ones allowed) mean E0_LIKE, and
     anything mixed is reported UNDECIDED.
+
+    Coordinates with equal specs (floats compared by repr, so ``-0.0`` and
+    ``0.0`` differ) share one ``best_admissible`` call per threshold and one
+    threshold relation.  ``fn_reports`` lists each distinct relation once, in
+    order of first appearance; ``fn_runs`` holds runs ``(first_coord,
+    relation_index)``, each covering the coordinates up to the next run's
+    first one (the last run up to the family's end).  Nothing is cached
+    across calls.
     """
     if c_grid is None:
         c_grid = DEFAULT_C_GRID
@@ -512,7 +490,7 @@ def classify_trichotomy(
 
     witnesses: dict[float, L1Witness | None] = {}
     for c in grid:
-        witnesses[c] = search_l1_witness(fam, c, th.target, th.budget, tol)
+        witnesses[c] = search_l1_witness(fam, c, th.target, tol)
         if witnesses[c] is None:
             narrative.append(f"c={c:g}: no witness with sum >= {th.target:g} at this truncation")
         else:
@@ -526,6 +504,7 @@ def classify_trichotomy(
             branch=BRANCH_L1,
             l1_witness=witnesses[grid[-1]],
             fn_reports=(),
+            fn_runs=(),
             c_grid=grid,
             c_star=None,
             thresholds=th,
@@ -535,12 +514,20 @@ def classify_trichotomy(
 
     c_star = min(failing)
     narrative.append(f"building threshold relations at smallest failing threshold c={c_star:g}")
-    reports = tuple(
-        build_threshold_relation(spec, c_star, tol, coordinate_grid(spec, th.grid_points), coord=n)
-        for n, spec in enumerate(fam.coords)
+    first: dict = {}  # spec key -> (relation index, first spec), in order of first appearance
+    rel_of = [first.setdefault(_spec_key(spec), (len(first), spec))[0] for spec in fam.coords]
+    relations = tuple(
+        build_threshold_relation(spec, c_star, tol, coordinate_grid(spec, th.grid_points))
+        for _, spec in first.values()
     )
+    runs = tuple((n, k) for n, k in enumerate(rel_of) if n == 0 or rel_of[n - 1] != k)
 
-    invalid = [r.coord for r in reports if not r.valid]
+    def report(branch: str, prefix: int) -> TrichotomyReport:
+        return TrichotomyReport(
+            branch, None, relations, runs, grid, c_star, th, prefix, tuple(narrative)
+        )
+
+    invalid = [n for n, k in enumerate(rel_of) if not relations[k].valid]
     prefix = 0
     while prefix < len(invalid) and invalid[prefix] == prefix:
         prefix += 1
@@ -549,18 +536,14 @@ def classify_trichotomy(
             f"threshold relation invalid beyond the initial prefix at coordinate {invalid[prefix]}; "
             "this contradicts cofinite validity, verdict undecided"
         )
-        return TrichotomyReport(
-            BRANCH_UNDECIDED, None, reports, grid, c_star, th, prefix, tuple(narrative)
-        )
+        return report(BRANCH_UNDECIDED, prefix)
     if prefix:
         narrative.append(f"tolerated invalid initial prefix of length {prefix}")
 
-    counts = [r.class_count for r in reports[prefix:]]
+    counts = [relations[k].class_count for k in rel_of[prefix:]]
     if not counts:
         narrative.append("no valid coordinates beyond the prefix; verdict undecided")
-        return TrichotomyReport(
-            BRANCH_UNDECIDED, None, reports, grid, c_star, th, prefix, tuple(narrative)
-        )
+        return report(BRANCH_UNDECIDED, prefix)
 
     window = counts[-((len(counts) + 1) // 2):]
     bound = th.class_growth_bound
@@ -579,7 +562,7 @@ def classify_trichotomy(
     else:
         narrative.append("tail-window counts mix bounded and unbounded evidence: undecided")
         branch = BRANCH_UNDECIDED
-    return TrichotomyReport(branch, None, reports, grid, c_star, th, prefix, tuple(narrative))
+    return report(branch, prefix)
 
 
 # --- Mazur-Orlicz linearity conditions ----------------------------------------

@@ -95,8 +95,9 @@ class ModulusSample:
     def __eq__(self, other):
         if not isinstance(other, ModulusSample):
             return NotImplemented
-        return (self.points, self.name) == (other.points, other.name) and np.array_equal(
-            self.psi, other.psi
+        # bitwise, like __hash__: tables differing only in -0.0 vs 0.0 differ
+        return (self.points, self.name) == (other.points, other.name) and (
+            self.psi.tobytes() == other.psi.tobytes()
         )
 
     def __hash__(self):

@@ -136,6 +136,12 @@ class TestClassify:
         code, report = run_cli(["classify", fam], tmp_path)
         assert code == 0
         assert report["result"]["branch"] == "E0_LIKE"
+        # sixteen equal coordinates: one relation, one run
+        assert len(report["result"]["fn_reports"]) == 1
+        assert report["result"]["fn_runs"] == [[0, 0]]
+        assert "budget" not in report["result"]["thresholds"]
+        with pytest.raises(SystemExit):
+            main(["classify", fam, "--budget", "16"])
 
     def test_flag_overrides(self, tmp_path):
         fam = write(
@@ -254,6 +260,40 @@ class TestInputErrors:
         assert code == 2 and report is None
         err = capsys.readouterr().err
         assert err.startswith("input error") and "q = 1000" in err
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("clamp", '{"z": [Infinity]}'),
+            ("clamp", '{"z": [-Infinity]}'),
+            ("clamp", '{"z": [NaN]}'),
+            ("clamp", '{"z": [1' + "0" * 400 + "]}"),
+            ("koch", '{"rho": 0.75, "values": [1e400]}'),
+            ("koch", '{"rho": 0.75, "values": [0.5, 1E+400]}'),
+            ("koch", '{"rho": 0.75, "values": [' + "9" * 250 + 'e60]}'),
+        ],
+        ids=["inf", "minus-inf", "nan", "long-int", "exponent", "upper-exponent", "long-mantissa"],
+    )
+    def test_non_finite_input_number_rejected(self, tmp_path, capsys, mode, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = main(["reduce", mode, str(path)])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error") and "not a finite float" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": [1e-5, 2.5, 3, -0.0], "b": "x"}',
+            '{"a": [1e308, 1E+300, 1e-400, -1.7976931348623157e308, 1' + "0" * 300 + '], "b": "e0001"}',
+        ],
+        ids=["plain", "near-overflow"],
+    )
+    def test_finite_input_numbers_parse_as_json(self, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert json.dumps(cli._load_json(str(path))[0]) == json.dumps(json.loads(text))
 
     def test_non_finite_report_value_fails_loudly(self, tmp_path):
         out = tmp_path / "report.json"

@@ -71,6 +71,25 @@ class TestModulusSample:
         assert hash(s) == hash(sample_from_dict(s.to_dict()))
         assert s.to_dict()["psi"] == [[0.0, 1.0], [2.0, 0.0]]
 
+    def test_equality_is_bitwise(self):
+        # -0.0 == 0.0 entrywise, but the tables hash apart, so they must compare apart
+        s = ModulusSample(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+        t = ModulusSample(["a", "b"], [[-0.0, 1.0], [1.0, 0.0]])
+        assert s != t and hash(s) != hash(t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        table=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=4, max_size=4),
+        other=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=4, max_size=4),
+    )
+    def test_equal_samples_hash_equal(self, table, other):
+        s = ModulusSample(["a", "b"], np.reshape(table, (2, 2)))
+        t = ModulusSample(["a", "b"], np.reshape(other, (2, 2)))
+        if s == t:
+            assert hash(s) == hash(t)
+        bitwise = [(x, math.copysign(1, x)) for x in table] == [(y, math.copysign(1, y)) for y in other]
+        assert (s == t) == bitwise
+
 
 def _bits(table) -> np.ndarray:
     return np.asarray(table, dtype=np.float64).view(np.uint64)
